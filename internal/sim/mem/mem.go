@@ -17,18 +17,39 @@ const PageSize = 4096
 // so absolute disp32 addressing works); physical addresses are 64-bit but
 // bounded by the configured physical size.
 //
-// Physical storage is sparse: frames materialize on first write and reads
-// of untouched frames return zeros, exactly as if the whole array had been
-// zeroed eagerly. Eager allocation would make building a machine cost a
-// PhysMem-sized memclr — prohibitive for a scheduler pool that builds one
-// machine per job.
+// Both the page table and the physical frames live in two-level
+// structures whose leaves (leafEntries entries each) are allocated on
+// first use. A page-table leaf is allocated by the first Map into its
+// range; an entry holds pfn+1, so the zero value means unmapped. A frame
+// leaf and the frame itself are allocated by the first write; reads of
+// frames never written return zeros, exactly as if the whole physical
+// memory had been zeroed eagerly. Building a Memory therefore costs two
+// directories of one pointer per 4 MB (8 KB for the page table's), and a
+// machine pays only for the pages a run actually maps and writes.
 type Memory struct {
-	physSize uint64
-	// frames holds per-page physical storage, nil until first written.
-	frames [][]byte
-	// pt maps virtual page number to physical page number; -1 = unmapped.
-	pt []int32
+	physSize  uint64
+	virtPages uint64
+	// pt is the page-table directory: pt[vpn>>leafBits][vpn&leafMask]
+	// holds pfn+1, or 0 for unmapped; nil leaves map nothing. It spans
+	// the whole 32-bit space, so Translate indexes it without a bounds
+	// check; leaves beyond virtPages are never allocated.
+	pt [1 << (32 - pageShift - leafBits)]*ptLeaf
+	// frames is the frame directory: frames[pfn>>leafBits][pfn&leafMask]
+	// is the page backing pfn, nil until first written.
+	frames []*frameLeaf
 }
+
+const (
+	pageShift   = 12 // PageSize == 1<<pageShift
+	leafBits    = 10
+	leafEntries = 1 << leafBits
+	leafMask    = leafEntries - 1
+)
+
+type (
+	ptLeaf    [leafEntries]uint32
+	frameLeaf [leafEntries]*[PageSize]byte
+)
 
 // NewMemory creates a memory with the given physical size and virtual
 // address-space size, both multiples of the page size.
@@ -39,15 +60,14 @@ func NewMemory(physSize, virtSize uint64) (*Memory, error) {
 	if virtSize > 1<<31 {
 		return nil, fmt.Errorf("mem: virtual address space must fit below 2 GB")
 	}
-	m := &Memory{
-		physSize: physSize,
-		frames:   make([][]byte, physSize/PageSize),
-		pt:       make([]int32, virtSize/PageSize),
+	if physSize/PageSize >= 1<<32 {
+		return nil, fmt.Errorf("mem: physical memory must hold fewer than 2^32 pages")
 	}
-	for i := range m.pt {
-		m.pt[i] = -1
-	}
-	return m, nil
+	return &Memory{
+		physSize:  physSize,
+		virtPages: virtSize / PageSize,
+		frames:    make([]*frameLeaf, (physSize/PageSize+leafMask)>>leafBits),
+	}, nil
 }
 
 // PhysSize returns the physical memory size in bytes.
@@ -58,20 +78,28 @@ var zeroFrame [PageSize]byte
 // readFrame returns the page backing pfn for reading (the shared zero
 // frame when untouched).
 func (m *Memory) readFrame(pfn uint64) []byte {
-	if f := m.frames[pfn]; f != nil {
-		return f
+	if l := m.frames[pfn>>leafBits]; l != nil {
+		if f := l[pfn&leafMask]; f != nil {
+			return f[:]
+		}
 	}
 	return zeroFrame[:]
 }
 
-// writeFrame returns the page backing pfn for writing, materializing it.
+// writeFrame returns the page backing pfn for writing, materializing it
+// (and its leaf).
 func (m *Memory) writeFrame(pfn uint64) []byte {
-	f := m.frames[pfn]
-	if f == nil {
-		f = make([]byte, PageSize)
-		m.frames[pfn] = f
+	l := m.frames[pfn>>leafBits]
+	if l == nil {
+		l = new(frameLeaf)
+		m.frames[pfn>>leafBits] = l
 	}
-	return f
+	f := l[pfn&leafMask]
+	if f == nil {
+		f = new([PageSize]byte)
+		l[pfn&leafMask] = f
+	}
+	return f[:]
 }
 
 // physRead copies from physical memory into dst, page by page.
@@ -100,24 +128,36 @@ func (m *Memory) Map(virt uint32, phys uint64, size uint64) error {
 	if virt%PageSize != 0 || phys%PageSize != 0 || size%PageSize != 0 {
 		return fmt.Errorf("mem: Map arguments must be page-aligned")
 	}
-	if phys+size > m.physSize {
+	if phys > m.physSize || size > m.physSize-phys {
 		return fmt.Errorf("mem: mapping beyond physical memory (phys=%#x size=%#x)", phys, size)
 	}
-	if uint64(virt)+size > uint64(len(m.pt))*PageSize {
+	if virtSize := m.virtPages * PageSize; uint64(virt) > virtSize || size > virtSize-uint64(virt) {
 		return fmt.Errorf("mem: mapping beyond virtual address space (virt=%#x size=%#x)", virt, size)
 	}
-	for off := uint64(0); off < size; off += PageSize {
-		m.pt[(uint64(virt)+off)/PageSize] = int32((phys + off) / PageSize)
+	vpn, pfn := uint64(virt)/PageSize, phys/PageSize
+	for n := size / PageSize; n > 0; n-- {
+		l := m.pt[vpn>>leafBits]
+		if l == nil {
+			l = new(ptLeaf)
+			m.pt[vpn>>leafBits] = l
+		}
+		l[vpn&leafMask] = uint32(pfn + 1)
+		vpn++
+		pfn++
 	}
 	return nil
 }
 
-// Unmap removes the mapping for the given virtual range.
+// Unmap removes the mapping for the given virtual range. Pages outside the
+// virtual address space and leaves never mapped are skipped.
 func (m *Memory) Unmap(virt uint32, size uint64) {
 	for off := uint64(0); off < size; off += PageSize {
 		vpn := (uint64(virt) + off) / PageSize
-		if vpn < uint64(len(m.pt)) {
-			m.pt[vpn] = -1
+		if vpn >= m.virtPages {
+			return
+		}
+		if l := m.pt[vpn>>leafBits]; l != nil {
+			l[vpn&leafMask] = 0
 		}
 	}
 }
@@ -125,17 +165,18 @@ func (m *Memory) Unmap(virt uint32, size uint64) {
 // Translate translates a virtual address to a physical address.
 func (m *Memory) Translate(virt uint32) (uint64, bool) {
 	vpn := virt / PageSize
-	if uint64(vpn) >= uint64(len(m.pt)) {
+	l := m.pt[vpn>>leafBits]
+	if l == nil {
 		return 0, false
 	}
-	pfn := m.pt[vpn]
-	if pfn < 0 {
+	e := l[vpn&leafMask]
+	if e == 0 {
 		return 0, false
 	}
-	return uint64(pfn)*PageSize + uint64(virt%PageSize), true
+	return uint64(e-1)*PageSize + uint64(virt%PageSize), true
 }
 
-// contiguous reports whether the n bytes at virt are virtually mapped to
+// translateSpan reports whether the n bytes at virt are virtually mapped to
 // physically contiguous memory and translates the base.
 func (m *Memory) translateSpan(virt uint32, n int) (uint64, bool) {
 	p0, ok := m.Translate(virt)
@@ -209,7 +250,7 @@ func (m *Memory) Write64(virt uint32, v uint64) bool {
 // ReadPhys reads directly from physical memory (used by the kernel-module
 // simulation and tests).
 func (m *Memory) ReadPhys(phys uint64, dst []byte) error {
-	if phys+uint64(len(dst)) > m.physSize {
+	if n := uint64(len(dst)); phys > m.physSize || n > m.physSize-phys {
 		return fmt.Errorf("mem: physical read out of range")
 	}
 	m.physRead(phys, dst)
@@ -218,7 +259,7 @@ func (m *Memory) ReadPhys(phys uint64, dst []byte) error {
 
 // WritePhys writes directly to physical memory.
 func (m *Memory) WritePhys(phys uint64, src []byte) error {
-	if phys+uint64(len(src)) > m.physSize {
+	if n := uint64(len(src)); phys > m.physSize || n > m.physSize-phys {
 		return fmt.Errorf("mem: physical write out of range")
 	}
 	m.physWrite(phys, src)

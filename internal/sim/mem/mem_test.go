@@ -193,3 +193,165 @@ func TestAllocContiguousFragmented(t *testing.T) {
 		t.Fatalf("after reboot: %v", err)
 	}
 }
+
+// The range checks must not wrap: phys+len overflowing uint64 used to
+// pass the check and index out of range (or map garbage frames).
+func TestPhysRangeChecksDoNotWrap(t *testing.T) {
+	m := newTestMem(t)
+	var buf [8]byte
+	if err := m.ReadPhys(^uint64(0)-3, buf[:]); err == nil {
+		t.Error("ReadPhys with a wrapping range: expected an error")
+	}
+	if err := m.WritePhys(^uint64(0)-3, buf[:]); err == nil {
+		t.Error("WritePhys with a wrapping range: expected an error")
+	}
+	if err := m.Map(0x10000, ^uint64(0)&^(PageSize-1), 2*PageSize); err == nil {
+		t.Error("Map with a wrapping physical range: expected an error")
+	}
+	if _, ok := m.Translate(0x10000); ok {
+		t.Error("rejected Map left a mapping behind")
+	}
+	// The last bytes of physical memory stay reachable.
+	if err := m.WritePhys(m.PhysSize()-8, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ReadPhys(m.PhysSize()-8, buf[:]); err != nil || buf[7] != 8 {
+		t.Fatalf("ReadPhys at the top = %v, %v", buf, err)
+	}
+	if err := m.ReadPhys(m.PhysSize()-7, buf[:]); err == nil {
+		t.Error("ReadPhys one byte past the top: expected an error")
+	}
+}
+
+// The test memory's page-table leaves each cover 4 MB of virtual space,
+// and its frame leaves 4 MB of physical memory.
+const leafSpan = leafEntries * PageSize
+
+func TestMapAcrossLeafBoundary(t *testing.T) {
+	m := newTestMem(t)
+	virt := uint32(leafSpan - 2*PageSize)
+	if err := m.Map(virt, leafSpan-2*PageSize, 4*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint32(0); i < 4; i++ {
+		p, ok := m.Translate(virt + i*PageSize + 8)
+		if want := uint64(virt + i*PageSize + 8); !ok || p != want {
+			t.Fatalf("page %d: Translate = %#x, %v; want %#x", i, p, ok, want)
+		}
+	}
+	m.Unmap(virt+PageSize, 2*PageSize)
+	for i, want := range []bool{true, false, false, true} {
+		if _, ok := m.Translate(virt + uint32(i)*PageSize); ok != want {
+			t.Fatalf("page %d after Unmap: mapped = %v, want %v", i, ok, want)
+		}
+	}
+}
+
+func TestLastVirtualPage(t *testing.T) {
+	m := newTestMem(t)
+	last := uint32(8<<20 - PageSize)
+	if err := m.Map(last, 0x100000, PageSize); err != nil {
+		t.Fatalf("mapping the last virtual page: %v", err)
+	}
+	if p, ok := m.Translate(last + PageSize - 1); !ok || p != 0x100FFF {
+		t.Fatalf("Translate(last byte) = %#x, %v", p, ok)
+	}
+	if err := m.Map(last+PageSize, 0x200000, PageSize); err == nil {
+		t.Error("mapping one page past the virtual space: expected an error")
+	}
+	if err := m.Map(last, 0x200000, 2*PageSize); err == nil {
+		t.Error("mapping across the end of the virtual space: expected an error")
+	}
+	for _, v := range []uint32{last + PageSize, 1 << 31, ^uint32(0)} {
+		if _, ok := m.Translate(v); ok {
+			t.Errorf("Translate(%#x) outside the virtual space succeeded", v)
+		}
+	}
+	if p, _ := m.Translate(last); p != 0x100000 {
+		t.Fatalf("rejected Maps changed the last page: %#x", p)
+	}
+}
+
+func TestUnmapUnallocatedLeaf(t *testing.T) {
+	m := newTestMem(t)
+	if err := m.Map(0x10000, 0x200000, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	m.Unmap(leafSpan, leafSpan)
+	m.Unmap(8<<20-PageSize, 4*PageSize) // runs past the virtual space
+	if m.pt[1] != nil {
+		t.Error("Unmap allocated a page-table leaf")
+	}
+	if _, ok := m.Translate(0x10000); !ok {
+		t.Error("Unmap of an unallocated leaf removed an unrelated mapping")
+	}
+}
+
+func TestUnwrittenFramesReadZero(t *testing.T) {
+	m := newTestMem(t)
+	if err := m.Map(0x10000, leafSpan-PageSize, 2*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	for i := range buf {
+		buf[i] = 0xAA
+	}
+	if !m.Read(0x10FE0, buf) {
+		t.Fatal("Read of mapped, never-written pages failed")
+	}
+	phys := make([]byte, 64)
+	if err := m.ReadPhys(m.PhysSize()-64, phys); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		if buf[i] != 0 || phys[i] != 0 {
+			t.Fatalf("byte %d of an unwritten frame = %#x/%#x, want 0", i, buf[i], phys[i])
+		}
+	}
+	for i, l := range m.frames {
+		if l != nil {
+			t.Errorf("reads allocated frame leaf %d", i)
+		}
+	}
+}
+
+func TestReadWriteAcrossLeaves(t *testing.T) {
+	// virt spans the boundary between page-table leaves 0 and 1.
+	virt := uint32(leafSpan - PageSize)
+	for _, tc := range []struct {
+		name   string
+		lo, hi uint64 // physical pages behind virt and virt+PageSize
+	}{
+		{"contiguous", leafSpan - PageSize, leafSpan},
+		{"non-contiguous", 0x100000, 2*leafSpan + 0x5000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTestMem(t)
+			if err := m.Map(virt, tc.lo, PageSize); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Map(virt+PageSize, tc.hi, PageSize); err != nil {
+				t.Fatal(err)
+			}
+			src := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+			if !m.Write(virt+PageSize-4, src) {
+				t.Fatal("spanning Write failed")
+			}
+			got := make([]byte, len(src))
+			if !m.Read(virt+PageSize-4, got) || string(got) != string(src) {
+				t.Fatalf("spanning Read = %v, want %v", got, src)
+			}
+			var lo [4]byte
+			var hi [8]byte
+			if err := m.ReadPhys(tc.lo+PageSize-4, lo[:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.ReadPhys(tc.hi, hi[:]); err != nil {
+				t.Fatal(err)
+			}
+			if string(lo[:]) != string(src[:4]) || string(hi[:]) != string(src[4:]) {
+				t.Fatalf("physical bytes lo=%v hi=%v, want %v", lo, hi, src)
+			}
+		})
+	}
+}
