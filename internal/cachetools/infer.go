@@ -138,7 +138,7 @@ func (t *Tool) InferPolicyContext(ctx context.Context, level Level, slice, set i
 		blocks := seq.Blocks()
 		var next []candidate
 		for _, c := range alive {
-			if c.sim.CountHitsBatch(blocks) == res.Hits {
+			if c.sim.CountHits(blocks) == res.Hits {
 				next = append(next, c)
 			}
 		}
@@ -218,7 +218,7 @@ func (t *Tool) signature(name string, assoc int) (string, bool) {
 	}
 	key := make([]byte, 0, len(suite))
 	for _, s := range suite {
-		key = append(key, byte(p.CountHitsBatch(s)))
+		key = append(key, byte(p.CountHits(s)))
 	}
 	t.sigCache[k] = string(key)
 	return string(key), true

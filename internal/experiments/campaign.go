@@ -90,6 +90,23 @@ func CampaignSize(opt CampaignOptions) (int, error) {
 	return n, nil
 }
 
+// AgeParams returns the age-graph shape a campaign runs — the largest
+// fresh-access count, the step between fresh-count columns, and the
+// trials per point — with the defaults (64 / 16 / 8) applied.
+func (opt CampaignOptions) AgeParams() (maxFresh, step, trials int) {
+	maxFresh, step, trials = opt.AgeMaxFresh, opt.AgeStep, opt.AgeTrials
+	if maxFresh <= 0 {
+		maxFresh = 64
+	}
+	if step <= 0 {
+		step = 16
+	}
+	if trials <= 0 {
+		trials = 8
+	}
+	return maxFresh, step, trials
+}
+
 func campaignCPUs(names []string) ([]uarch.CPU, error) {
 	if len(names) == 0 {
 		return uarch.Table1(), nil
@@ -235,16 +252,7 @@ func PolicyCampaign(ctx context.Context, opt CampaignOptions, step func()) (*Cam
 		return result, nil
 	}
 
-	maxFresh, ageStep, trials := opt.AgeMaxFresh, opt.AgeStep, opt.AgeTrials
-	if maxFresh <= 0 {
-		maxFresh = 64
-	}
-	if ageStep <= 0 {
-		ageStep = 16
-	}
-	if trials <= 0 {
-		trials = 8
-	}
+	maxFresh, ageStep, trials := opt.AgeParams()
 	prefix := cachetools.SeqOf(true, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
 	for _, cpu := range cpus {
 		if cpu.L3Adaptive == nil {

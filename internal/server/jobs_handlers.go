@@ -55,8 +55,19 @@ type campaignRequest struct {
 	AgeTrials    int      `json:"age_trials,omitempty"`
 }
 
+// Campaign age-graph limits. Each age-graph point runs age_trials
+// measurements, so age_trials shares the run requests' MaxMeasurements
+// cap. A point's sequence holds up to age_max_fresh fresh accesses, and
+// the graph has age_max_fresh/age_step + 1 fresh-count columns per
+// block; both stay far above what a 16-way Table I cache needs.
+const (
+	MaxAgeFresh   = 1024
+	MaxAgeColumns = 128
+)
+
 // prepareCampaign validates a campaign submission (CPU names and levels
-// resolve) and sizes its progress denominator.
+// resolve, age-graph sizes within the limits) and sizes its progress
+// denominator.
 func (s *Server) prepareCampaign(req campaignRequest) (experiments.CampaignOptions, int, *apiError) {
 	levels, err := experiments.ParseLevels(req.Levels)
 	if err != nil {
@@ -72,6 +83,19 @@ func (s *Server) prepareCampaign(req campaignRequest) (experiments.CampaignOptio
 		AgeMaxFresh:  req.AgeMaxFresh,
 		AgeStep:      req.AgeStep,
 		AgeTrials:    req.AgeTrials,
+	}
+	maxFresh, step, trials := opt.AgeParams()
+	switch {
+	case trials > MaxMeasurements:
+		return experiments.CampaignOptions{}, 0, errBadRequest(fmt.Sprintf(
+			"campaign: age_trials %d exceeds the limit of %d", trials, MaxMeasurements))
+	case maxFresh > MaxAgeFresh:
+		return experiments.CampaignOptions{}, 0, errBadRequest(fmt.Sprintf(
+			"campaign: age_max_fresh %d exceeds the limit of %d", maxFresh, MaxAgeFresh))
+	case maxFresh/step+1 > MaxAgeColumns:
+		return experiments.CampaignOptions{}, 0, errBadRequest(fmt.Sprintf(
+			"campaign: age_max_fresh %d / age_step %d gives %d fresh-count columns, over the limit of %d",
+			maxFresh, step, maxFresh/step+1, MaxAgeColumns))
 	}
 	total, err := experiments.CampaignSize(opt)
 	if err != nil {

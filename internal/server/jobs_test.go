@@ -533,13 +533,24 @@ func TestCampaignJobDeterministicAcrossWorkers(t *testing.T) {
 		t.Errorf("cell = %+v", c)
 	}
 
-	// A campaign of unknown CPUs or levels is rejected at submit time.
+	// A campaign of unknown CPUs or levels, or with age graphs beyond the
+	// cost limits, is rejected at submit time.
 	for _, bad := range []string{
 		`{"campaign": {"cpus": ["NoSuchCPU"]}}`,
 		`{"campaign": {"levels": ["L4"]}}`,
+		`{"campaign": {"age_graphs": true, "age_trials": 100001}}`,
+		`{"campaign": {"age_graphs": true, "age_trials": 9223372036854775807}}`,
+		`{"campaign": {"age_graphs": true, "age_max_fresh": 1025}}`,
+		`{"campaign": {"age_graphs": true, "age_max_fresh": 9223372036854775807, "age_step": 9223372036854775807}}`,
+		`{"campaign": {"age_graphs": true, "age_max_fresh": 1024, "age_step": 1}}`,
 	} {
-		if status, resp := post(t, ts, "/v1/jobs", bad); status != http.StatusBadRequest {
+		status, resp := post(t, ts, "/v1/jobs", bad)
+		if status != http.StatusBadRequest || errorCode(t, resp) != "bad_request" {
 			t.Errorf("submit %s: status %d: %s", bad, status, resp)
 		}
+	}
+	// The server keeps serving after the rejections.
+	if status, resp := get(t, ts, "/v1/healthz"); status != http.StatusOK {
+		t.Fatalf("healthz after rejections: status %d: %s", status, resp)
 	}
 }

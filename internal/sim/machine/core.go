@@ -256,7 +256,7 @@ func (m *Machine) fetch(d *x86.DecodedInstr) error {
 // the pre-decoded program (or the slow decode path). It returns done=true
 // when the top-level RET transfers to the sentinel address. Run's chained
 // loop bypasses the per-step resolution; step is the reference engine the
-// chained dispatcher is property-tested against.
+// trace tier is property-tested against.
 func (m *Machine) step() (bool, error) {
 	d, err := m.decodedAt(m.core.rip)
 	if err != nil {

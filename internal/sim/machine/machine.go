@@ -122,13 +122,12 @@ type Machine struct {
 	// lineShift is log2 of the L1I line size, folded into every decoded
 	// entry's line span at predecode time.
 	lineShift uint8
-	// noChain makes Run execute through step() — resolving every
-	// instruction from c.rip — instead of the chained dispatcher; noTrace
-	// keeps the chained dispatcher but disables block (trace) execution.
-	// Together they form the engine-selection seam (SetEngine/Engine in
-	// trace.go) the differential property tests force each tier through.
+	// noChain makes Run execute through step() — the reference
+	// interpreter, resolving every instruction from c.rip — instead of the
+	// link-chained dispatcher with its trace-mode blocks. It is the
+	// engine-selection seam (SetEngine/Engine in trace.go) the
+	// differential property tests force each tier through.
 	noChain bool
-	noTrace bool
 
 	// Trace-mode scratch: the per-block PMU event buffers, the replay-key
 	// buffer, and the entry port-use snapshot (see trace.go).
@@ -363,12 +362,10 @@ func (m *Machine) Run(entry uint32) (RunResult, error) {
 	// basic blocks in a tight loop and jumps block to block without
 	// re-resolving RIPs. idx < 0 means "resolve c.rip from scratch" —
 	// the entry path, dynamic targets (RET), code outside the program,
-	// and everything after an invalidation. Links discovered at run time
-	// (lazily decoded entries) are resolved once and cached via prevIdx.
+	// successors the eager predecode did not link (lazily decoded
+	// entries), and everything after an invalidation.
 	ver := m.decVersion
 	idx := int32(-1)
-	prevIdx := int32(-1) // entry whose missing link the next resolution fills
-	prevTaken := false   // which link of prevIdx: tgt (true) or fall
 	for {
 		if c.instructions-startInstr > m.MaxInstructions {
 			return RunResult{}, &Fault{RIP: c.rip, Reason: "instruction budget exceeded (runaway loop?)"}
@@ -390,7 +387,7 @@ func (m *Machine) Run(entry uint32) (RunResult, error) {
 		}
 		if ver != m.decVersion { // program dropped (self-modifying code)
 			ver = m.decVersion
-			idx, prevIdx = -1, -1
+			idx = -1
 		}
 		var d *x86.DecodedInstr
 		if idx < 0 {
@@ -399,14 +396,6 @@ func (m *Machine) Run(entry uint32) (RunResult, error) {
 			if err != nil {
 				return RunResult{}, err
 			}
-			if idx >= 0 && prevIdx >= 0 {
-				if prevTaken {
-					m.prog.links[prevIdx].tgt = idx
-				} else {
-					m.prog.links[prevIdx].fall = idx
-				}
-			}
-			prevIdx = -1
 			if idx < 0 {
 				if d, err = m.decodeSlow(c.rip); err != nil {
 					return RunResult{}, err
@@ -420,9 +409,8 @@ func (m *Machine) Run(entry uint32) (RunResult, error) {
 			// user-mode timer interrupts could fire (their delivery window
 			// is per instruction) or when the block could cross the
 			// instruction budget (the per-instruction path faults at
-			// exactly the chained tier's point).
-			if !m.noTrace && d.Fast != x86.FastNone &&
-				!(m.ifEn && m.mode == User && m.Spec.InterruptInterval > 0) {
+			// exactly the reference interpreter's point).
+			if d.Fast != x86.FastNone && !(m.ifEn && m.mode == User && m.Spec.InterruptInterval > 0) {
 				if bi := m.prog.blockOf[idx]; bi != blockNoTrace {
 					if bi < 0 {
 						bi = m.buildBlock(idx)
@@ -433,12 +421,7 @@ func (m *Machine) Run(entry uint32) (RunResult, error) {
 							if err := m.execBlock(b); err != nil {
 								return RunResult{}, err
 							}
-							if nk := m.prog.links[b.lastIdx].fall; nk >= 0 {
-								idx = nk
-							} else {
-								prevIdx, prevTaken = b.lastIdx, false
-								idx = -1
-							}
+							idx = m.prog.links[b.lastIdx].fall
 							continue
 						}
 					}
@@ -452,26 +435,16 @@ func (m *Machine) Run(entry uint32) (RunResult, error) {
 		if stop {
 			break
 		}
+		next := int32(-1)
 		if idx >= 0 && ver == m.decVersion {
-			lk := m.prog.links[idx]
 			switch {
 			case c.rip == d.Next:
-				if lk.fall >= 0 {
-					idx = lk.fall
-					continue
-				}
-				prevIdx, prevTaken = idx, false
+				next = m.prog.links[idx].fall
 			case d.TargetOK && c.rip == d.Target:
-				if lk.tgt >= 0 {
-					idx = lk.tgt
-					continue
-				}
-				prevIdx, prevTaken = idx, true
+				next = m.prog.links[idx].tgt
 			}
-		} else {
-			prevIdx = -1
 		}
-		idx = -1
+		idx = next
 	}
 	return RunResult{
 		Instructions: c.instructions - startInstr,

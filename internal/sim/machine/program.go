@@ -18,8 +18,8 @@ import (
 //
 // Entries reached outside the eager scan (a jump into the middle of an
 // encoded instruction, code past an undecodable byte) are decoded lazily
-// on first execution and their links resolved — and then cached — by the
-// run loop.
+// on first execution. Their links stay unresolved: the run loop reaches
+// them, and leaves them, by resolving the RIP through progIndexAt.
 //
 // Any write into [base, base+size) — a WriteData call or a store executed
 // by simulated code — drops the program (self-modifying code then runs
@@ -32,7 +32,8 @@ type program struct {
 	byteIdx []int32
 	instrs  []x86.DecodedInstr
 	// links[i] chains instrs[i] to its successors by index; -1 marks a
-	// successor not yet resolved (or outside the program).
+	// successor the predecode did not resolve (outside the program, or
+	// not decoded by the eager scan).
 	links []link
 	// blocks are the trace-mode execution blocks discovered over this
 	// program (see trace.go); blockOf[i] maps instrs[i] to the block it

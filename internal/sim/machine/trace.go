@@ -7,19 +7,19 @@ import (
 	"nanobench/internal/x86"
 )
 
-// Trace-mode execution: the top tier of the three-tier engine.
+// Trace-mode execution: the fast tier of the two-tier engine.
 //
 //   - step()   — the reference interpreter: resolves every instruction
-//     from c.rip. Never optimized; every other tier is property-tested
+//     from c.rip. Never optimized; the trace tier is property-tested
 //     against it (TestChainedMatchesSingleStep, FuzzTraceMatchesStep).
-//   - chained  — Run's successor-link dispatch (PR 5): no per-step RIP
-//     resolution, per-instruction execution.
-//   - trace    — this file: maximal runs of fused single-µop entries
-//     (x86.FastKind) execute as one block, with budget/IRQ/decVersion
-//     re-validated only at block boundaries, one PMU.Advance per block,
-//     and the whole block's PMU events delivered in one RecordBlock walk.
-//     Steady-state blocks additionally replay a recorded port schedule
-//     ("port-pick cache"), skipping per-µop port selection entirely.
+//   - trace    — Run's successor-link dispatch plus this file: maximal
+//     runs of fused single-µop entries (x86.FastKind) execute as one
+//     block, with budget/IRQ/decVersion re-validated only at block
+//     boundaries, one PMU.Advance per block, and the whole block's PMU
+//     events delivered in one RecordBlock walk. Steady-state blocks
+//     additionally replay a recorded port schedule ("port-pick cache"),
+//     skipping per-µop port selection entirely. Everything else runs one
+//     instruction at a time, chained by the same links.
 //
 // Why block granularity is bit-identical:
 //
@@ -29,8 +29,8 @@ import (
 //     decVersion bump, IRQ window check, or budget fault can occur inside
 //     a block: a budget precheck at entry (with per-instruction fallback)
 //     and Run's existing checks at block boundaries observe exactly what
-//     the chained loop observes. Blocks are only dispatched when user-mode
-//     timer interrupts cannot fire.
+//     per-instruction dispatch observes. Blocks are only dispatched when
+//     user-mode timer interrupts cannot fire.
 //   - PMU.Advance(w) is a promise that no future counter read samples
 //     below w; raising the watermark less often (once per block instead of
 //     once per instruction) settles events later but never changes any
@@ -140,15 +140,14 @@ type blockEvents struct {
 // Engine selects Run's execution tier. The zero value is EngineTrace:
 // trace mode is the default engine; the seam exists so the differential
 // tests (and callers debugging a suspected engine divergence) can force
-// the chained or reference tier.
+// the reference tier.
 type Engine uint8
 
-// Execution tiers, fastest first. All three produce bit-identical
+// Execution tiers, fastest first. Both produce bit-identical
 // architectural state, cycles, and counter values.
 const (
-	EngineTrace   Engine = iota // block dispatch + schedule replay (default)
-	EngineChained               // per-instruction chained dispatch (PR 5)
-	EngineStep                  // reference interpreter, resolves from c.rip
+	EngineTrace Engine = iota // chained dispatch, block execution + schedule replay (default)
+	EngineStep                // reference interpreter, resolves from c.rip
 )
 
 // String names the tier (benchmark sub-names, test labels).
@@ -156,28 +155,20 @@ func (e Engine) String() string {
 	switch e {
 	case EngineTrace:
 		return "trace"
-	case EngineChained:
-		return "chained"
 	case EngineStep:
 		return "step"
 	}
 	return "Engine(?)"
 }
 
-// SetEngine forces an execution tier; it maps onto the noChain/noTrace
-// hooks the Run loop branches on.
-func (m *Machine) SetEngine(e Engine) {
-	m.noChain = e == EngineStep
-	m.noTrace = e != EngineTrace
-}
+// SetEngine forces an execution tier; it maps onto the noChain hook the
+// Run loop branches on.
+func (m *Machine) SetEngine(e Engine) { m.noChain = e == EngineStep }
 
 // Engine reports the execution tier Run uses.
 func (m *Machine) Engine() Engine {
-	switch {
-	case m.noChain:
+	if m.noChain {
 		return EngineStep
-	case m.noTrace:
-		return EngineChained
 	}
 	return EngineTrace
 }
@@ -425,12 +416,12 @@ func (m *Machine) execBlock(b *traceBlock) error {
 }
 
 // execBlockRecord executes the block's steps through the same per-step
-// fetch and fused execution as the chained tier, accumulating PMU events
-// for one end-of-block delivery and (when record is set) capturing the
-// port schedule into the block's next replay slot. A recording pass fills
-// the slot's event arrays regardless of pmuOn — counters may be active
-// when the schedule is later replayed — and delivers straight from them;
-// the non-replayable path buffers through m.bev instead.
+// fetch and fused execution as per-instruction dispatch, accumulating PMU
+// events for one end-of-block delivery and (when record is set) capturing
+// the port schedule into the block's next replay slot. A recording pass
+// fills the slot's event arrays regardless of pmuOn — counters may be
+// active when the schedule is later replayed — and delivers straight from
+// them; the non-replayable path buffers through m.bev instead.
 func (m *Machine) execBlockRecord(b *traceBlock, pmuOn, record bool) error {
 	c := &m.core
 	base := c.feCycle

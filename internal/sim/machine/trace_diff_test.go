@@ -8,13 +8,14 @@ import (
 	"nanobench/internal/x86"
 )
 
-// The chained dispatcher (Run following the program's successor links)
-// must be observationally identical to single-step execution (resolving
-// every instruction from c.rip). randProgram generates terminating
-// programs that stress exactly the cases where the two could diverge:
-// straight-line runs, taken and not-taken branches, backward loop edges,
-// jumps resolved lazily, and stores into the code region that drop the
-// pre-decoded program mid-run.
+// The trace tier (Run following the program's successor links and
+// executing fused blocks) must be observationally identical to
+// single-step execution (resolving every instruction from c.rip).
+// randProgram generates terminating programs that stress exactly the
+// cases where the two could diverge: straight-line runs, taken and
+// not-taken branches, backward loop edges, and stores into the code
+// region that drop the pre-decoded program mid-run; lazyProgram covers
+// code the eager predecode never reaches.
 
 // progGen emits encodable instructions and tracks patchable slots.
 type progGen struct {
@@ -166,31 +167,68 @@ func runProgramEngine(t *testing.T, code []byte, e Engine) (string, error) {
 	return state, nil
 }
 
-// TestChainedMatchesSingleStep is the engine-equivalence property test:
-// for randomized programs (random branches, loops, loads/stores, and
-// code-region self-writes triggering invalidation), all three execution
-// tiers — the reference single-step interpreter, the chained dispatcher,
-// and trace mode — must produce identical registers, cycle counts,
-// counter values, and error strings.
+// lazyProgram builds a loop that lies past an undecodable byte the entry
+// path jumps over. WriteCode's eager predecode stops at that byte, so the
+// loop body is decoded lazily on first execution, and every transfer into
+// it — the entry jump, the loop edge, fallthroughs between its entries —
+// finds an unresolved link and re-resolves its RIP through progIndexAt.
+func lazyProgram(t *testing.T) []byte {
+	g := &progGen{t: t}
+	g.emit(x86.I(x86.MOV, x86.R13, x86.Imm(6)))
+	g.emit(x86.I(x86.MOV, x86.RAX, x86.Imm(0x1234)))
+	g.emit(x86.I(x86.JMP, x86.Imm(1)))
+	g.buf = append(g.buf, 0x06) // PUSH ES: invalid in 64-bit mode
+	loopStart := len(g.buf)
+	g.emit(x86.I(x86.ADD, x86.RAX, x86.Imm(3)))
+	g.emit(x86.I(x86.ADD, x86.RBX, x86.RAX))
+	g.emit(x86.I(x86.IMUL, x86.RCX, x86.RAX))
+	g.emit(x86.I(x86.MOV, x86.MemAt(testDataBase), x86.RBX))
+	g.emit(x86.I(x86.DEC, x86.R13))
+	g.emit(x86.I(x86.JNZ, x86.Imm(int64(loopStart)-int64(len(g.buf)+6))))
+	g.emit(x86.I(x86.RET))
+	return g.buf
+}
+
+// TestChainedMatchesSingleStep is the engine-equivalence property test: for
+// randomized programs (random branches, loops, loads/stores, and
+// code-region self-writes triggering invalidation) and for lazyProgram,
+// the trace tier (link-chained dispatch plus fused blocks) and the
+// reference single-step interpreter must produce identical registers,
+// cycle counts, counter values, and error strings.
 func TestChainedMatchesSingleStep(t *testing.T) {
-	engines := []Engine{EngineStep, EngineChained, EngineTrace}
+	check := func(t *testing.T, code []byte) {
+		t.Helper()
+		ref, errRef := runProgramEngine(t, code, EngineStep)
+		got, err := runProgramEngine(t, code, EngineTrace)
+		if (errRef == nil) != (err == nil) ||
+			(errRef != nil && errRef.Error() != err.Error()) {
+			t.Fatalf("error divergence: step=%v trace=%v", errRef, err)
+		}
+		if got != ref {
+			t.Fatalf("state divergence:\nstep:\n%s\ntrace:\n%s", ref, got)
+		}
+	}
 	for seed := int64(0); seed < 40; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			code := randProgram(t, rand.New(rand.NewSource(seed)))
-			ref, errRef := runProgramEngine(t, code, engines[0])
-			for _, e := range engines[1:] {
-				got, err := runProgramEngine(t, code, e)
-				if (errRef == nil) != (err == nil) ||
-					(errRef != nil && errRef.Error() != err.Error()) {
-					t.Fatalf("error divergence: %v=%v %v=%v", engines[0], errRef, e, err)
-				}
-				if got != ref {
-					t.Fatalf("state divergence:\n%v:\n%s\n%v:\n%s", engines[0], ref, e, got)
-				}
-			}
+			check(t, randProgram(t, rand.New(rand.NewSource(seed))))
 		})
 	}
+	t.Run("lazy", func(t *testing.T) {
+		code := lazyProgram(t)
+		m := benchmarkishMachine(t)
+		if err := m.WriteCode(testCodeBase, code); err != nil {
+			t.Fatal(err)
+		}
+		predecoded := len(m.prog.instrs)
+		if _, err := m.Run(testCodeBase); err != nil {
+			t.Fatal(err)
+		}
+		if len(m.prog.instrs) <= predecoded {
+			t.Fatalf("no lazy decode: %d entries after the run, %d predecoded", len(m.prog.instrs), predecoded)
+		}
+		check(t, code)
+	})
 }
 
 // benchmarkishMachine is newTestMachine plus the realistic counter

@@ -7,8 +7,8 @@ import (
 )
 
 // TestEngineDefaultIsTrace pins trace mode as the default engine: the
-// zero-value Machine runs the trace tier, and SetEngine round-trips all
-// three tiers. The serialization counter values and golden experiment
+// zero-value Machine runs the trace tier, and SetEngine round-trips both
+// tiers. The serialization counter values and golden experiment
 // outputs elsewhere in the suite are therefore all produced — and pinned
 // — under trace mode.
 func TestEngineDefaultIsTrace(t *testing.T) {
@@ -16,7 +16,7 @@ func TestEngineDefaultIsTrace(t *testing.T) {
 	if got := m.Engine(); got != EngineTrace {
 		t.Fatalf("default engine = %v, want %v", got, EngineTrace)
 	}
-	for _, e := range []Engine{EngineStep, EngineChained, EngineTrace} {
+	for _, e := range []Engine{EngineStep, EngineTrace} {
 		m.SetEngine(e)
 		if got := m.Engine(); got != e {
 			t.Fatalf("SetEngine(%v) round-trips to %v", e, got)
@@ -88,7 +88,7 @@ func TestTraceBlocksDroppedOnCodeWrite(t *testing.T) {
 // TestTraceSelfModifyingLoopMatchesStep runs a loop that patches the
 // imm64 field of a MOV inside its own trace block: the store must drop
 // the cached block mid-run, the patched semantics must take effect on the
-// next iteration, and all three engines must agree on the final state.
+// next iteration, and both engines must agree on the final state.
 // This is the invalidation path a stale port-pick cache would break.
 func TestTraceSelfModifyingLoopMatchesStep(t *testing.T) {
 	var buf []byte
@@ -119,7 +119,7 @@ func TestTraceSelfModifyingLoopMatchesStep(t *testing.T) {
 	emit(x86.I(x86.RET))
 
 	states := make(map[Engine]string)
-	for _, e := range []Engine{EngineStep, EngineChained, EngineTrace} {
+	for _, e := range []Engine{EngineStep, EngineTrace} {
 		m := benchmarkishMachine(t)
 		m.SetEngine(e)
 		if err := m.WriteCode(testCodeBase, buf); err != nil {
@@ -138,10 +138,6 @@ func TestTraceSelfModifyingLoopMatchesStep(t *testing.T) {
 			t.Fatalf("%v: RBX = %#x, want %#x", e, got, want)
 		}
 		states[e] = machineState(t, m, res)
-	}
-	if states[EngineChained] != states[EngineStep] {
-		t.Fatalf("chained diverges from step:\nstep:\n%s\nchained:\n%s",
-			states[EngineStep], states[EngineChained])
 	}
 	if states[EngineTrace] != states[EngineStep] {
 		t.Fatalf("trace diverges from step:\nstep:\n%s\ntrace:\n%s",

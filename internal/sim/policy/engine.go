@@ -38,15 +38,6 @@ type Engine interface {
 	// cross-set state (the dueling PSEL) to its power-on value. The
 	// caller must Reset (or otherwise invalidate) all sets alongside.
 	Restream()
-	// AccessBatch plays a run of same-set accesses in one call. seq[i]
-	// is the abstract block ID of access i; wayOf (block → way) and
-	// blockAt (way → block) carry the caller's residency mapping with -1
-	// meaning "absent", and are updated in place exactly as the scalar
-	// OnHit/Victim/OnFill protocol would update them. If hits is non-nil
-	// it must have len(seq); hits[i] is set for accesses that hit (never
-	// cleared — callers pass zeroed slices). Returns the hit count.
-	// Decisions are bit-identical to the equivalent per-access calls.
-	AccessBatch(set int, seq []int32, wayOf, blockAt []int32, hits []bool) int
 }
 
 // Spec declaratively describes the replacement policy of a whole cache:
@@ -112,21 +103,6 @@ func newKernel(name string, sets, assoc int, rng RNGFor) (Engine, error) {
 			return newMRUEngine(upper, sets, assoc, true), nil
 		}
 	}
-	if assoc > 64 && assoc <= 256 {
-		// Wide-associativity kernels: multi-word occupancy/tree bitmaps,
-		// 16-bit stamps (see kernels_wide.go).
-		switch upper {
-		case "LRU":
-			return newStampEngineW(upper, sets, assoc, false), nil
-		case "FIFO":
-			return newStampEngineW(upper, sets, assoc, true), nil
-		case "PLRU":
-			if assoc&(assoc-1) != 0 {
-				return nil, errNonPow2(assoc)
-			}
-			return newPLRUEngineW(sets, assoc), nil
-		}
-	}
 	// Validate the name eagerly so misconfiguration fails at build time,
 	// then fall back to the reference per-set path. The fallback is
 	// deliberate but observable: EngineFallbacks counts it, and
@@ -145,10 +121,10 @@ func newKernel(name string, sets, assoc int, rng RNGFor) (Engine, error) {
 var engineFallbacks atomic.Uint64
 
 // EngineFallbacks returns the process-wide count of NewEngine/NewSingle
-// compilations that fell back to the reference per-set engine. The >64-way
-// fallback used to be silent; campaigns can now assert they run on
-// specialized kernels by checking the counter (or IsReference) after
-// construction.
+// compilations that fell back to the reference per-set engine (every
+// policy above 64 ways, and names without a kernel). Campaigns can assert
+// they run on specialized kernels by checking the counter (or
+// IsReference) after construction.
 func EngineFallbacks() uint64 { return engineFallbacks.Load() }
 
 // IsReference reports whether e is (or, for the dueling combinator,
@@ -226,7 +202,6 @@ type Single struct {
 	assoc   int
 	wayOf   []int32 // block ID -> way, or -1
 	blockAt []int32 // way -> block ID, or -1
-	seq32   []int32 // reusable AccessBatch input buffer
 }
 
 // NewSingle builds a single-set simulator for a named policy.
@@ -285,7 +260,8 @@ func (s *Single) step(b int) bool {
 }
 
 // CountHits plays seq against a fresh set and returns the number of hits.
-// Block IDs must be non-negative.
+// Block IDs must be non-negative. This is the path policy inference takes
+// for every candidate × sequence pair.
 func (s *Single) CountHits(seq []int) int {
 	s.prepare(seq)
 	hits := 0
@@ -304,35 +280,6 @@ func (s *Single) Simulate(seq []int) []bool {
 	for i, b := range seq {
 		hits[i] = s.step(b)
 	}
-	return hits
-}
-
-// batchSeq widens seq into the reusable int32 buffer AccessBatch takes.
-func (s *Single) batchSeq(seq []int) []int32 {
-	if cap(s.seq32) < len(seq) {
-		s.seq32 = make([]int32, len(seq))
-	}
-	s.seq32 = s.seq32[:len(seq)]
-	for i, b := range seq {
-		s.seq32[i] = int32(b)
-	}
-	return s.seq32
-}
-
-// CountHitsBatch is CountHits through the engine's batch entry point:
-// one AccessBatch call instead of an interface dispatch per access.
-// Results are bit-identical to CountHits (pinned by
-// TestBatchMatchesScalar); the inference hot paths use this form.
-func (s *Single) CountHitsBatch(seq []int) int {
-	s.prepare(seq)
-	return s.eng.AccessBatch(0, s.batchSeq(seq), s.wayOf, s.blockAt, nil)
-}
-
-// SimulateBatch is Simulate through the engine's batch entry point.
-func (s *Single) SimulateBatch(seq []int) []bool {
-	s.prepare(seq)
-	hits := make([]bool, len(seq))
-	s.eng.AccessBatch(0, s.batchSeq(seq), s.wayOf, s.blockAt, hits)
 	return hits
 }
 

@@ -82,76 +82,3 @@ func BenchmarkPolicyEngine(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkPolicyEngineBatch runs the same trace through Engine.AccessBatch
-// (per-set runs of the stream, residency maintained by the batch kernel)
-// against the equivalent scalar OnHit/Victim/OnFill loop, so the per-set
-// state hoisting the batch kernels perform is measurable directly.
-// ns/op is per access for both variants.
-func BenchmarkPolicyEngineBatch(b *testing.B) {
-	const sets, assoc = 64, 8
-	trace := benchTrace(sets, assoc, 1<<14)
-	rngFor := func(set int) *rand.Rand { return NewSetRand(1, 0, set, 0) }
-
-	// Split the trace into per-set block sequences: the batch entry point
-	// probes one set's run at a time, as the single-set experiments do.
-	perSet := make([][]int32, sets)
-	for _, sb := range trace {
-		perSet[sb[0]] = append(perSet[sb[0]], int32(sb[1]))
-	}
-
-	for _, name := range []string{"LRU", "PLRU", "QLRU_H11_M1_R0_U0"} {
-		b.Run(name+"/batch", func(b *testing.B) {
-			eng, err := NewEngine(Spec{Name: name}, 0, sets, assoc, rngFor)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wayOf := make([]int32, sets*(assoc+4))
-			blockAt := make([]int32, sets*assoc)
-			for i := range wayOf {
-				wayOf[i] = -1
-			}
-			for i := range blockAt {
-				blockAt[i] = -1
-			}
-			b.ResetTimer()
-			done := 0
-			for done < b.N {
-				for s := 0; s < sets && done < b.N; s++ {
-					seq := perSet[s]
-					if len(seq) == 0 {
-						continue
-					}
-					eng.AccessBatch(s, seq, wayOf[s*(assoc+4):(s+1)*(assoc+4)], blockAt[s*assoc:(s+1)*assoc], nil)
-					done += len(seq)
-				}
-			}
-		})
-		b.Run(name+"/scalar", func(b *testing.B) {
-			eng, err := NewEngine(Spec{Name: name}, 0, sets, assoc, rngFor)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wayOf := make([]int32, sets*(assoc+4))
-			blockAt := make([]int32, sets*assoc)
-			for i := range wayOf {
-				wayOf[i] = -1
-			}
-			for i := range blockAt {
-				blockAt[i] = -1
-			}
-			b.ResetTimer()
-			done := 0
-			for done < b.N {
-				for s := 0; s < sets && done < b.N; s++ {
-					seq := perSet[s]
-					if len(seq) == 0 {
-						continue
-					}
-					accessBatchScalar(eng, s, seq, wayOf[s*(assoc+4):(s+1)*(assoc+4)], blockAt[s*assoc:(s+1)*assoc], nil)
-					done += len(seq)
-				}
-			}
-		})
-	}
-}

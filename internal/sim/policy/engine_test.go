@@ -238,11 +238,11 @@ func TestDuelEngineMatchesReference(t *testing.T) {
 
 // TestSingleMatchesSimulateSeq pins the flat single-set trace simulator
 // against the map-based SimulateSeq reference, including state reuse
-// across calls (both sides keep their RNG streams between sequences).
+// across calls (both sides keep their RNG streams between sequences), at
+// every associativity the Table I cache levels give policy inference.
 func TestSingleMatchesSimulateSeq(t *testing.T) {
 	names := append(Names(), EnumerateQLRU()...)
 	names = append(names, probabilisticVariants...)
-	const assoc = 8
 	seeds := engineSeeds(t) / 4
 	if seeds < 2 {
 		seeds = 2
@@ -251,33 +251,107 @@ func TestSingleMatchesSimulateSeq(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			for seed := 0; seed < seeds; seed++ {
-				sd := int64(seed)*31 + 7
-				sim, err := NewSingle(name, assoc, LazyRNG(sd))
-				if err != nil {
-					t.Fatalf("NewSingle(%s): %v", name, err)
+			for _, assoc := range []int{4, 8, 12, 16} {
+				if name == "PLRU" && assoc&(assoc-1) != 0 {
+					continue // tree-PLRU needs a power-of-two width
 				}
-				ref := MustNew(name, assoc, rand.New(rand.NewSource(sd)))
-				rng := rand.New(rand.NewSource(sd * 131))
-				for round := 0; round < 3; round++ {
-					seq := make([]int, 120)
-					for i := range seq {
-						seq[i] = rng.Intn(assoc + 4)
-					}
-					got := sim.Simulate(seq)
-					want := SimulateSeq(ref, seq)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s seed %d round %d: access %d: Single hit=%v, reference hit=%v",
-								name, sd, round, i, got[i], want[i])
-						}
-					}
-					if h := sim.CountHits(seq); h != countTrue(SimulateSeq(ref, seq)) {
-						t.Fatalf("%s: CountHits mismatch", name)
-					}
+				for seed := 0; seed < seeds; seed++ {
+					checkSingleTrace(t, name, assoc, int64(seed)*31+7)
 				}
 			}
 		})
+	}
+}
+
+// checkSingleTrace plays three random sequences through a Single and a
+// reference Policy built from the same seed and requires identical
+// per-access hits and hit counts.
+func checkSingleTrace(t *testing.T, name string, assoc int, sd int64) {
+	t.Helper()
+	sim, err := NewSingle(name, assoc, LazyRNG(sd))
+	if err != nil {
+		t.Fatalf("NewSingle(%s, %d): %v", name, assoc, err)
+	}
+	ref := MustNew(name, assoc, rand.New(rand.NewSource(sd)))
+	rng := rand.New(rand.NewSource(sd * 131))
+	for round := 0; round < 3; round++ {
+		seq := make([]int, 120)
+		for i := range seq {
+			seq[i] = rng.Intn(assoc + 4)
+		}
+		got := sim.Simulate(seq)
+		want := SimulateSeq(ref, seq)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s assoc %d seed %d round %d: access %d: Single hit=%v, reference hit=%v",
+					name, assoc, sd, round, i, got[i], want[i])
+			}
+		}
+		if h := sim.CountHits(seq); h != countTrue(SimulateSeq(ref, seq)) {
+			t.Fatalf("%s assoc %d: CountHits mismatch", name, assoc)
+		}
+	}
+}
+
+// TestEngineSpecialization pins the fallback matrix: which name ×
+// associativity pairs compile to specialized kernels and which fall back
+// to the reference engine (now observable via IsReference and the
+// EngineFallbacks counter).
+func TestEngineSpecialization(t *testing.T) {
+	cases := []struct {
+		name     string
+		assoc    int
+		fallback bool
+	}{
+		{"LRU", 8, false},
+		{"LRU", 64, false},
+		{"LRU", 96, true}, // kernels stop at 64 ways
+		{"LRU", 256, true},
+		{"LRU", 512, true},
+		{"FIFO", 128, true},
+		{"PLRU", 16, false},
+		{"PLRU", 64, false},
+		{"PLRU", 128, true},
+		{"PLRU", 256, true},
+		{"RANDOM", 8, false},
+		{"RANDOM", 128, true},
+		{"MRU", 8, false},
+		{"MRU", 96, true},
+		{"QLRU_H11_M1_R1_U2", 16, false},
+		{"QLRU_H11_M1_R1_U2", 96, true},
+	}
+	rngFor := LazyRNG(1)
+	for _, c := range cases {
+		before := EngineFallbacks()
+		eng, err := NewEngine(Spec{Name: c.name}, 0, 2, c.assoc, rngFor)
+		if err != nil {
+			t.Fatalf("NewEngine(%s, assoc %d): %v", c.name, c.assoc, err)
+		}
+		counted := EngineFallbacks() - before
+		if got := IsReference(eng); got != c.fallback {
+			t.Errorf("%s assoc %d: IsReference=%v, want %v", c.name, c.assoc, got, c.fallback)
+		}
+		if (counted > 0) != c.fallback {
+			t.Errorf("%s assoc %d: EngineFallbacks advanced by %d, want fallback=%v",
+				c.name, c.assoc, counted, c.fallback)
+		}
+	}
+	// The dueling combinator reports a fallback if either side fell back.
+	duel := func(a, b string, assoc int) Engine {
+		eng, err := NewEngine(Spec{Duel: &DuelSpec{
+			PolicyA: a, PolicyB: b, PSel: NewPSel(64),
+			Leader: func(slice, set int) byte { return 0 },
+		}}, 0, 2, assoc, rngFor)
+		if err != nil {
+			t.Fatalf("NewEngine(duel %s/%s): %v", a, b, err)
+		}
+		return eng
+	}
+	if IsReference(duel("LRU", "MRU", 8)) {
+		t.Errorf("DUEL(LRU,MRU) assoc 8: unexpectedly reference")
+	}
+	if !IsReference(duel("LRU", "MRU", 96)) {
+		t.Errorf("DUEL(LRU,MRU) assoc 96: MRU side should fall back")
 	}
 }
 
