@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMode$$' -fuzztime $(FUZZTIME) ./internal/sim/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceMatchesStep$$' -fuzztime $(FUZZTIME) ./internal/sim/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/perfcfg
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepUnmarshalJSON$$' -fuzztime $(FUZZTIME) .
 
 # One smoke pass over every benchmark (bench.txt: proves each still runs;
 # one iteration is not data, so it never enters the artifact), plus

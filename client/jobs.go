@@ -66,8 +66,8 @@ func (c *Client) SubmitBatch(ctx context.Context, jobs []RunRequest) (*Job, erro
 }
 
 // SubmitSweep submits a sweep as an asynchronous job; the server
-// shards its evaluation and merges the results back into expansion
-// order, byte-identical to the synchronous response.
+// evaluates it on the same executor as the synchronous endpoint, so the
+// result is byte-identical to the synchronous response.
 func (c *Client) SubmitSweep(ctx context.Context, cpu, mode string, sw *nanobench.Sweep) (*Job, error) {
 	return c.submit(ctx, jobSubmitRequest{Sweep: &sweepRequest{CPU: cpu, Mode: mode, Sweep: sw}})
 }

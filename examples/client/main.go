@@ -39,8 +39,7 @@ func main() {
 	fmt.Printf("/v1/run on %s (%s):\n%s\n", run.CPU, run.Mode, run.Result)
 
 	// The same 2×3 sweep as docs/API.md, submitted as an async job: the
-	// server queues it, shards the evaluation, and merges the results
-	// back into expansion order.
+	// server queues it and evaluates it exactly as /v1/sweep would.
 	sw := nanobench.NewSweep(nanobench.Config{NMeasurements: 3}).
 		Asm("add rax, rbx", "imul rax, rbx").
 		Unroll(10, 100, 1000)

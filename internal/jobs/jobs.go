@@ -337,7 +337,7 @@ func (m *Manager) runJob(j *Job) {
 	m.metrics.queueSeconds.observe(float64(j.startedNs-j.submittedNs) / 1e9)
 	m.mu.Unlock()
 
-	body, err := task(ctx, p)
+	body, err := runTask(ctx, task, p)
 	cancel()
 
 	m.mu.Lock()
@@ -359,6 +359,17 @@ func (m *Manager) runJob(j *Job) {
 	m.metrics.runSeconds.observe(float64(j.finishedNs-j.startedNs) / 1e9)
 	m.mu.Unlock()
 	m.active.Done()
+}
+
+// runTask calls the task, reporting a panic as its error: the job fails
+// alone and its worker keeps serving the queue.
+func runTask(ctx context.Context, task Task, p *Progress) (body []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			body, err = nil, fmt.Errorf("jobs: task panicked: %v", r)
+		}
+	}()
+	return task(ctx, p)
 }
 
 // Get returns the job's current snapshot.

@@ -95,6 +95,32 @@ func TestFailedAndCanceledStates(t *testing.T) {
 		t.Errorf("failed job = %+v", final)
 	}
 
+	// A panicking task fails alone; the sole worker survives it and
+	// serves the next job.
+	snap, err = m.Submit("run", 1, func(ctx context.Context, p *Progress) ([]byte, error) {
+		panic("injected")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err = m.Wait(context.Background(), snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != Failed || final.Err == nil || !strings.Contains(final.Err.Error(), "injected") {
+		t.Errorf("panicking job = %+v", final)
+	}
+	snap, err = m.Submit("run", 1, func(ctx context.Context, p *Progress) ([]byte, error) {
+		p.Step(false, false)
+		return []byte("after"), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err = m.Wait(context.Background(), snap.ID); err != nil || final.State != Done {
+		t.Fatalf("job after the panic = %+v, %v", final, err)
+	}
+
 	// A task that returns the context's error after Cancel lands canceled.
 	started := make(chan struct{})
 	snap, err = m.Submit("run", 1, func(ctx context.Context, p *Progress) ([]byte, error) {

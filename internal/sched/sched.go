@@ -1,7 +1,7 @@
-// Package sched is a deterministic work-stealing batch executor for
-// microbenchmark sweeps. It fans a slice of jobs — each a (CPU model,
-// privilege mode, nano.Config) triple — out across a pool of
-// independently-seeded simulated machines, one live machine per in-flight
+// Package sched is a deterministic batch executor for microbenchmark
+// sweeps. It fans a slice of jobs — each a (CPU model, privilege mode,
+// nano.Config) triple — out across a shared-counter worker pool (ForEach)
+// of independently-seeded simulated machines, one live machine per in-flight
 // job (a machine.Machine is single-threaded), and memoizes results in a
 // content-addressed cache so repeated sweeps hit memory instead of
 // re-simulating.
@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"nanobench/internal/nano"
 	"nanobench/internal/sim/machine"
@@ -116,7 +117,7 @@ func (e *Executor) Run(jobs []Job) ([]*nano.Result, error) {
 func (e *Executor) RunContext(ctx context.Context, jobs []Job) ([]*nano.Result, error) {
 	results := make([]*nano.Result, len(jobs))
 	errs := make([]error, len(jobs))
-	e.execute(ctx, jobs, nil, func(it Item) {
+	e.execute(ctx, jobs, func(it Item) {
 		results[it.Index] = it.Result
 		errs[it.Index] = it.Err
 	})
@@ -138,44 +139,7 @@ func (e *Executor) Stream(jobs []Job) <-chan Item {
 // never block on a cancelled sweep, and no worker goroutine outlives it
 // beyond the unit it was simulating.
 func (e *Executor) StreamContext(ctx context.Context, jobs []Job) <-chan Item {
-	return e.stream(ctx, jobs, nil)
-}
-
-// IndexedJob is a Job whose machine seed derives from an explicit batch
-// index instead of the job's position in the submitted slice. It is the
-// primitive behind sharded sweeps: a coordinator that expands and
-// deduplicates a batch globally can split the surviving evaluations
-// across shards while every shard still derives exactly the seeds the
-// single-process batch would have — making the merged results
-// byte-identical by construction.
-type IndexedJob struct {
-	// Job is the evaluation to run.
-	Job Job
-	// Index is the batch index the machine seed derives from
-	// (DeriveSeed(root, Index)); it also keys the result cache together
-	// with the job's content.
-	Index int
-}
-
-// StreamIndexed evaluates the indexed jobs and delivers their results
-// like StreamContext: Item.Index is the POSITION in the submitted slice
-// (0-based, delivered in order), while each machine seed derives from
-// the IndexedJob's explicit Index. Jobs sharing a content key are
-// deduplicated; the representative is the one with the lowest explicit
-// Index, matching what a whole-batch submission would pick.
-func (e *Executor) StreamIndexed(ctx context.Context, ijobs []IndexedJob) <-chan Item {
-	jobs := make([]Job, len(ijobs))
-	seedIdx := make([]int, len(ijobs))
-	for i, ij := range ijobs {
-		jobs[i] = ij.Job
-		seedIdx[i] = ij.Index
-	}
-	return e.stream(ctx, jobs, seedIdx)
-}
-
-// stream sequences execute's out-of-order deliveries into an in-order
-// channel. A nil seedIdx means positional seeding (seedIdx[i] == i).
-func (e *Executor) stream(ctx context.Context, jobs []Job, seedIdx []int) <-chan Item {
+	// execute delivers out of order; a sequencer emits in index order.
 	// Buffered to len(jobs): the sequencer can always run to completion
 	// and exit, so a consumer that abandons the channel early leaks
 	// nothing beyond the (garbage-collectable) buffered items.
@@ -187,7 +151,7 @@ func (e *Executor) stream(ctx context.Context, jobs []Job, seedIdx []int) <-chan
 		ready := make([]bool, len(jobs))
 		items := make([]Item, len(jobs))
 		go func() {
-			e.execute(ctx, jobs, seedIdx, func(it Item) {
+			e.execute(ctx, jobs, func(it Item) {
 				mu.Lock()
 				items[it.Index] = it
 				ready[it.Index] = true
@@ -208,139 +172,99 @@ func (e *Executor) stream(ctx context.Context, jobs []Job, seedIdx []int) <-chan
 	return out
 }
 
-// unit is one deduplicated evaluation: the set of job positions sharing a
-// content key. The position with the lowest seed index is the
-// representative; it alone determines the machine seed.
+// unit is one deduplicated evaluation: the job positions sharing a
+// content key, in ascending order. The first position is the
+// representative; its index alone determines the machine seed.
 type unit struct {
 	key  Key
-	rep  int
-	seed int // the representative's seed-deriving batch index
 	jobs []int
 }
 
 // execute runs the batch, calling deliver exactly once per job position
-// (from worker goroutines; deliver must be safe for concurrent use). A nil
-// seedIdx derives each machine seed from the job's position; otherwise
-// seedIdx[i] supplies the batch index position i's seed derives from.
+// (from worker goroutines; deliver must be safe for concurrent use).
 // When ctx is cancelled, in-flight units still deliver (the runner aborts
 // between measurement runs), and every not-yet-started unit delivers the
 // context's error instead of simulating.
-func (e *Executor) execute(ctx context.Context, jobs []Job, seedIdx []int, deliver func(Item)) {
-	at := func(i int) int { return i }
-	if seedIdx != nil {
-		at = func(i int) int { return seedIdx[i] }
-	}
+func (e *Executor) execute(ctx context.Context, jobs []Job, deliver func(Item)) {
 	byKey := make(map[Key]*unit, len(jobs))
 	var units []*unit
 	for i, j := range jobs {
 		k := KeyOf(j)
 		u := byKey[k]
 		if u == nil {
-			u = &unit{key: k, rep: i, seed: at(i)}
+			u = &unit{key: k}
 			byKey[k] = u
 			units = append(units, u)
-		} else if at(i) < u.seed {
-			u.rep, u.seed = i, at(i)
 		}
 		u.jobs = append(u.jobs, i)
 	}
-
-	workers := e.opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if len(units) == 0 {
-		return
-	}
-
-	// Deal the units round-robin into per-worker deques; idle workers
-	// steal from the tail of their neighbours' deques. Placement and
-	// stealing affect only which worker simulates a unit — every result
-	// is fully determined by the unit itself.
-	queues := make([]*deque, workers)
-	for w := range queues {
-		queues[w] = &deque{}
-	}
-	for i, u := range units {
-		queues[i%workers].push(u)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			for {
-				u, ok := queues[self].pop()
-				if !ok {
-					u, ok = steal(queues, self)
-				}
-				if !ok {
-					return
-				}
-				e.runUnit(ctx, jobs, u, deliver)
+	// Which worker simulates a unit, and when, never reaches the output:
+	// every result is fully determined by the unit itself. Each unit
+	// delivers its own outcome, so ForEach's joined error is always nil.
+	_ = ForEach(len(units), e.opts.Workers, func(k int) error {
+		u := units[k]
+		res, hit, err := e.runUnit(ctx, jobs, u)
+		for n, i := range u.jobs {
+			it := Item{Index: i, Result: res, Err: err, CacheHit: hit}
+			if res != nil && (hit || n > 0) {
+				// The cached copy and the representative's own result
+				// are never shared.
+				it.Result = res.Clone()
 			}
-		}(w)
-	}
-	wg.Wait()
+			deliver(it)
+		}
+		return nil
+	})
 }
 
-// runUnit fulfils every job index of one deduplicated unit: from the cache
-// when possible, otherwise by simulating the representative job. The cache
-// key pins both the content and the derived seed, so a hit is guaranteed
-// to equal what a cold evaluation would compute.
-func (e *Executor) runUnit(ctx context.Context, jobs []Job, u *unit, deliver func(Item)) {
-	if err := ctx.Err(); err != nil {
-		for _, i := range u.jobs {
-			deliver(Item{Index: i, Err: err})
+// runUnit evaluates one deduplicated unit: from the cache when possible,
+// otherwise by simulating the representative job. The cache key pins
+// both the content and the derived seed, so a hit is guaranteed to equal
+// what a cold evaluation would compute. A hit returns the cached copy
+// itself (hit is true); the caller must clone it. A panic is contained
+// here, at the one boundary every evaluation passes: it becomes an error
+// naming the content key, and nothing is cached.
+func (e *Executor) runUnit(ctx context.Context, jobs []Job, u *unit) (res *nano.Result, hit bool, err error) {
+	rep := u.jobs[0]
+	defer func() {
+		if p := recover(); p != nil {
+			res, hit, err = nil, false, fmt.Errorf("sched: job %d (content key %x): panic: %v", rep, u.key, p)
 		}
-		return
+	}()
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
 	}
-	seed := DeriveSeed(e.opts.RootSeed, u.seed)
+	seed := DeriveSeed(e.opts.RootSeed, rep)
 	cacheKey := withSeed(u.key, seed)
 	if c := e.opts.Cache; c != nil {
-		if hit := c.get(cacheKey); hit != nil {
-			for _, i := range u.jobs {
-				deliver(Item{Index: i, Result: hit.Clone(), CacheHit: true})
-			}
-			return
+		if cached := c.get(cacheKey); cached != nil {
+			return cached, true, nil
 		}
 	}
-	j := jobs[u.rep]
-	res, err := evaluate(ctx, j, seed)
+	j := jobs[rep]
+	res, err = evaluate(ctx, j, seed)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// Interrupted mid-evaluation: report the bare context error so
 			// callers can distinguish cancellation from real failures. (A
 			// genuine evaluation error that merely coincides with a
 			// cancelled context falls through and keeps its cause.)
-			for _, i := range u.jobs {
-				deliver(Item{Index: i, Err: err})
-			}
-			return
+			return nil, false, err
 		}
-		err = fmt.Errorf("sched: job %d (%s, %v): %w", u.rep, j.CPU, j.Mode, err)
-		for _, i := range u.jobs {
-			deliver(Item{Index: i, Err: err})
-		}
-		return
+		return nil, false, fmt.Errorf("sched: job %d (%s, %v): %w", rep, j.CPU, j.Mode, err)
 	}
 	if c := e.opts.Cache; c != nil {
 		c.put(cacheKey, res)
 	}
-	deliver(Item{Index: u.rep, Result: res})
-	for _, i := range u.jobs {
-		if i != u.rep {
-			deliver(Item{Index: i, Result: res.Clone()})
-		}
-	}
+	return res, false, nil
 }
 
-// evaluate simulates one job on a fresh machine with the given seed.
-func evaluate(ctx context.Context, j Job, seed int64) (*nano.Result, error) {
+// evaluate is the one evaluation path; a variable only so tests can
+// inject a faulty evaluation.
+var evaluate = simulate
+
+// simulate evaluates one job on a fresh machine with the given seed.
+func simulate(ctx context.Context, j Job, seed int64) (*nano.Result, error) {
 	cpu, err := uarch.ByName(j.CPU)
 	if err != nil {
 		return nil, err
@@ -361,65 +285,14 @@ func evaluate(ctx context.Context, j Job, seed int64) (*nano.Result, error) {
 	return r.RunContext(ctx, j.Cfg)
 }
 
-// deque is a mutex-guarded work-stealing deque of units: the owner pops
-// from the front — units were dealt in index order, so completion tracks
-// job order and Stream consumers see progressive delivery instead of a
-// burst at the end — and thieves take from the back, keeping contention
-// at opposite ends. (Units never spawn further units, so the classic
-// LIFO-owner discipline would buy no locality here.)
-type deque struct {
-	mu    sync.Mutex
-	units []*unit
-}
-
-func (d *deque) push(u *unit) {
-	d.mu.Lock()
-	d.units = append(d.units, u)
-	d.mu.Unlock()
-}
-
-func (d *deque) pop() (*unit, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.units) == 0 {
-		return nil, false
-	}
-	u := d.units[0]
-	d.units = d.units[1:]
-	return u, true
-}
-
-func (d *deque) stealTail() (*unit, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.units)
-	if n == 0 {
-		return nil, false
-	}
-	u := d.units[n-1]
-	d.units = d.units[:n-1]
-	return u, true
-}
-
-// steal scans the other workers' deques round-robin starting after self.
-// Units never spawn further units, so an empty sweep means the pool is
-// drained and the worker can retire.
-func steal(queues []*deque, self int) (*unit, bool) {
-	for off := 1; off < len(queues); off++ {
-		if u, ok := queues[(self+off)%len(queues)].stealTail(); ok {
-			return u, true
-		}
-	}
-	return nil, false
-}
-
 // ForEach runs fn(0), …, fn(n-1) across min(workers, n) goroutines (0 or
-// negative workers means runtime.NumCPU()) and returns the joined errors.
-// Every index runs exactly once even when earlier indices fail; callers
-// that need deterministic output should write into per-index slots and
-// emit them after ForEach returns. It is the generic fan-out the
-// experiment sweeps use for work — like Table I's per-CPU policy
-// inference — that is coarser than a single nano.Config.
+// negative workers means runtime.NumCPU()), which claim indices in
+// ascending order from a shared counter, and returns the joined errors.
+// Every index runs exactly once even when others fail or panic; a panic
+// in fn(i) becomes index i's error. Callers that need deterministic
+// output write into per-index slots and emit them after ForEach returns.
+// It is the one fan-out loop: the executor's deduplicated units and the
+// experiment sweeps' coarser work (Table I's per-CPU inference) run on it.
 func ForEach(n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -431,23 +304,31 @@ func ForEach(n, workers int, fn func(i int) error) error {
 		workers = n
 	}
 	errs := make([]error, n)
-	next := make(chan int)
-	go func() {
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
-	}()
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				errs[i] = fn(i)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				errs[i] = call(fn, i)
 			}
 		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// call runs fn(i), reporting a panic as its error.
+func call(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("sched: index %d: panic: %v", i, p)
+		}
+	}()
+	return fn(i)
 }

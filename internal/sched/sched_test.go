@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -13,9 +14,9 @@ import (
 	"nanobench/internal/sim/machine"
 )
 
-// testJobs builds a seed-sensitive job mix: user-mode configurations see
-// timer-interrupt noise drawn from the machine RNG, so any scheduling
-// leak into the seeding shows up as value differences.
+// testJobs builds a short mixed-mode job mix. The jobs are too short for
+// a timer interrupt to land, so their results do not depend on the
+// machine seed; tests that must see a seeding leak add seedSensitiveJob.
 func testJobs(n int) []Job {
 	asms := []string{
 		"add rbx, rbx",
@@ -40,42 +41,69 @@ func testJobs(n int) []Job {
 	return jobs
 }
 
-func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	jobs := testJobs(12)
-	var base []*nano.Result
-	for _, workers := range []int{1, 4, 16} {
-		res, err := New(Options{Workers: workers, RootSeed: 7}).Run(jobs)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(res) != len(jobs) {
-			t.Fatalf("workers=%d: %d results for %d jobs", workers, len(res), len(jobs))
-		}
-		if base == nil {
-			base = res
-			continue
-		}
-		for i := range res {
-			if !res[i].Equal(base[i]) {
-				t.Errorf("workers=%d: job %d differs from the 1-worker run:\n%v\nvs\n%v",
-					workers, i, res[i], base[i])
-			}
-		}
-	}
-}
-
-func TestDifferentRootSeedsChangeUserModeResults(t *testing.T) {
-	// Sanity check that the determinism test above can fail at all: a
-	// user-mode evaluation must be seed-sensitive.
-	// Long enough that several timer interrupts land inside the
-	// measurement (mean interval 200k cycles; this runs ~1.6M).
-	job := Job{CPU: "Skylake", Mode: machine.User, Cfg: nano.Config{
+// seedSensitiveJob is a user-mode job long enough that several timer
+// interrupts land inside the measurement (mean interval 200k cycles; this
+// runs ~1.6M), so its result depends on the machine seed.
+func seedSensitiveJob() Job {
+	return Job{CPU: "Skylake", Mode: machine.User, Cfg: nano.Config{
 		Code:          nano.MustAsm("mov r14, [r14]"),
 		CodeInit:      nano.MustAsm("mov [r14], r14"),
 		UnrollCount:   100,
 		LoopCount:     2000,
 		NMeasurements: 1,
 	}}
+}
+
+func TestDeterministicAcrossWorkerCounts(t *testing.T) {
+	distinct := testJobs(12)
+	distinct[0] = seedSensitiveJob()
+	// Interleaved duplicates: each must be fulfilled by the evaluation
+	// seeded at the first position sharing its content, whichever worker
+	// runs it — so appending them changes no result of the distinct run.
+	dupOf := []int{0, 5, 0}
+	withDups := append([]Job(nil), distinct...)
+	for _, first := range dupOf {
+		withDups = append(withDups, distinct[first])
+	}
+	var bases [][]*nano.Result
+	for _, jobs := range [][]Job{distinct, withDups} {
+		var base []*nano.Result
+		for _, workers := range []int{1, 4, 16} {
+			res, err := New(Options{Workers: workers, RootSeed: 7}).Run(jobs)
+			if err != nil {
+				t.Fatalf("%d jobs, workers=%d: %v", len(jobs), workers, err)
+			}
+			if len(res) != len(jobs) {
+				t.Fatalf("%d jobs, workers=%d: %d results", len(jobs), workers, len(res))
+			}
+			if base == nil {
+				base = res
+				continue
+			}
+			for i := range res {
+				if !res[i].Equal(base[i]) {
+					t.Errorf("%d jobs, workers=%d: job %d differs from the 1-worker run:\n%v\nvs\n%v",
+						len(jobs), workers, i, res[i], base[i])
+				}
+			}
+		}
+		bases = append(bases, base)
+	}
+	for i, r := range bases[1] {
+		first := i
+		if i >= len(distinct) {
+			first = dupOf[i-len(distinct)]
+		}
+		if !r.Equal(bases[0][first]) {
+			t.Errorf("with duplicates, job %d differs from distinct job %d:\n%v\nvs\n%v", i, first, r, bases[0][first])
+		}
+	}
+}
+
+func TestDifferentRootSeedsChangeUserModeResults(t *testing.T) {
+	// Sanity check that the determinism test above can fail at all:
+	// seedSensitiveJob must actually depend on the machine seed.
+	job := seedSensitiveJob()
 	differs := false
 	a, err := New(Options{Workers: 1, RootSeed: 1}).Run([]Job{job})
 	if err != nil {
@@ -153,6 +181,44 @@ func TestErrorInOneJobDoesNotWedgePool(t *testing.T) {
 				t.Errorf("job %d has no result; the pool wedged", i)
 			}
 		}
+	}
+}
+
+// TestPanickingEvaluationIsContained: a panic inside one evaluation
+// reaches every position of its unit as an error naming the content key,
+// is never cached, and leaves the rest of the batch and the stream
+// intact.
+func TestPanickingEvaluationIsContained(t *testing.T) {
+	jobs := testJobs(5)          // five distinct contents
+	jobs = append(jobs, jobs[2]) // a duplicate of the panicking unit
+	bad := KeyOf(jobs[2])
+	defer func(orig func(context.Context, Job, int64) (*nano.Result, error)) { evaluate = orig }(evaluate)
+	evaluate = func(ctx context.Context, j Job, seed int64) (*nano.Result, error) {
+		if KeyOf(j) == bad {
+			panic("injected")
+		}
+		return simulate(ctx, j, seed)
+	}
+	cache := NewCache()
+	n := 0
+	for it := range New(Options{Workers: 2, RootSeed: 1, Cache: cache}).Stream(jobs) {
+		n++
+		switch it.Index {
+		case 2, 5:
+			if it.Err == nil || !strings.Contains(it.Err.Error(), fmt.Sprintf("content key %x): panic: injected", bad)) {
+				t.Errorf("job %d: err = %v, want the contained panic naming the key", it.Index, it.Err)
+			}
+		default:
+			if it.Err != nil || it.Result == nil {
+				t.Errorf("job %d: res=%v err=%v, want a result", it.Index, it.Result, it.Err)
+			}
+		}
+	}
+	if n != len(jobs) {
+		t.Fatalf("stream delivered %d of %d items", n, len(jobs))
+	}
+	if got := cache.Len(); got != 4 {
+		t.Errorf("cache holds %d entries, want the 4 healthy evaluations", got)
 	}
 }
 
@@ -255,14 +321,7 @@ func TestKeyCoversEveryConfigField(t *testing.T) {
 // batch index derives a different seed and must be re-evaluated, not
 // served the other index's cached result.
 func TestCacheDoesNotServeAcrossSeeds(t *testing.T) {
-	seedSensitive := nano.Config{
-		Code:          nano.MustAsm("mov r14, [r14]"),
-		CodeInit:      nano.MustAsm("mov [r14], r14"),
-		UnrollCount:   100,
-		LoopCount:     2000,
-		NMeasurements: 1,
-	}
-	job := Job{CPU: "Skylake", Mode: machine.User, Cfg: seedSensitive}
+	job := seedSensitiveJob()
 	filler := Job{CPU: "Skylake", Mode: machine.Kernel, Cfg: nano.Config{Code: nano.MustAsm("nop")}}
 
 	cache := NewCache()
@@ -315,13 +374,19 @@ func TestForEachRunsEveryIndexDespiteErrors(t *testing.T) {
 	boom := errors.New("boom")
 	err := ForEach(len(ran), 4, func(i int) error {
 		atomic.AddInt32(&ran[i], 1)
-		if i == 3 || i == 9 {
+		switch i {
+		case 3, 9:
 			return boom
+		case 12:
+			panic("injected")
 		}
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("joined error lost the cause: %v", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), "index 12: panic: injected") {
+		t.Errorf("joined error does not report the panic: %v", err)
 	}
 	for i, n := range ran {
 		if n != 1 {

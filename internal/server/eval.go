@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"nanobench"
 )
@@ -119,54 +118,31 @@ func (s *Server) groupJobs(n int, label string, entry func(i int) (cpu, mode str
 	return groups, nil
 }
 
-// mergeGroups drains every group's stream concurrently and delivers the
-// items over one channel in global index order, each as soon as it and
-// all its predecessors are ready. shards > 1 routes every group through
-// the session's sharded merge path (StreamSharded) — the fan-out
-// asynchronous sweep jobs use; either way the delivered bytes are
-// identical, which the shard-equivalence test pins.
+// mergeGroups delivers every group's items over one channel in global
+// index order, each as soon as it and all its predecessors are ready: a
+// session stream arrives in order and a group's indices ascend, so index
+// i is the next item of its group's stream. The synchronous endpoints
+// and the job kinds share it, so a job's bytes equal the synchronous
+// response's.
 //
 // On cancellation the sessions deliver the remaining items carrying the
-// context error, so the sequencer always retires and the channel always
-// closes; the channel is buffered to n, so draining never blocks.
-func mergeGroups(ctx context.Context, groups []*evalGroup, n, shards int) <-chan nanobench.BatchItem {
-	out := make(chan nanobench.BatchItem, n)
-	if n == 0 {
-		close(out)
-		return out
-	}
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	ready := make([]bool, n)
-	items := make([]nanobench.BatchItem, n)
+// context error, so the merge always retires and the channel closes.
+// Every stream is buffered to its item count, so none waits on another
+// and draining never blocks.
+func mergeGroups(ctx context.Context, groups []*evalGroup, n int) <-chan nanobench.BatchItem {
+	owner := make([]<-chan nanobench.BatchItem, n)
 	for _, g := range groups {
-		go func(g *evalGroup) {
-			var ch <-chan nanobench.BatchItem
-			if shards > 1 {
-				ch = g.sess.StreamSharded(ctx, g.cfgs, shards)
-			} else {
-				ch = g.sess.Stream(ctx, g.cfgs)
-			}
-			for it := range ch {
-				mu.Lock()
-				idx := g.indices[it.Index]
-				it.Index = idx
-				items[idx] = it
-				ready[idx] = true
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}(g)
+		ch := g.sess.Stream(ctx, g.cfgs)
+		for _, idx := range g.indices {
+			owner[idx] = ch
+		}
 	}
+	out := make(chan nanobench.BatchItem, n)
 	go func() {
 		defer close(out)
-		for i := 0; i < n; i++ {
-			mu.Lock()
-			for !ready[i] {
-				cond.Wait()
-			}
-			it := items[i]
-			mu.Unlock()
+		for i, ch := range owner {
+			it := <-ch
+			it.Index = i
 			out <- it
 		}
 	}()

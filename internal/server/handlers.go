@@ -100,7 +100,7 @@ func (s *Server) handleRunBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := batchResponse{Results: make([]itemJSON, 0, n)}
-	for it := range mergeGroups(r.Context(), groups, n, 1) {
+	for it := range mergeGroups(r.Context(), groups, n) {
 		resp.Results = append(resp.Results, toItem(it.Index, it))
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -129,7 +129,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	items := mergeGroups(r.Context(), groups, n, 1)
+	items := mergeGroups(r.Context(), groups, n)
 
 	if q := r.URL.Query().Get("stream"); q == "1" || q == "true" {
 		s.streamItems(w, items)

@@ -23,8 +23,8 @@ import (
 //	DELETE /v1/jobs/{id}           cancel (park queued, interrupt running)
 //
 // A done job's result bytes are exactly what the synchronous endpoint
-// would have written — sweep jobs additionally fan out across the
-// session's shard-merge path, which is byte-identical by construction.
+// would have written: the job streams through the same evaluation core
+// (mergeGroups over Session.Stream), so they match by construction.
 
 // jobSubmitRequest is the body of POST /v1/jobs: exactly one of the
 // synchronous request bodies, keyed by its endpoint name — or a
@@ -216,7 +216,7 @@ func (s *Server) buildJobTask(req jobSubmitRequest) (kind string, total int, tas
 		}
 		return "runbatch", n, func(ctx context.Context, p *jobs.Progress) ([]byte, error) {
 			resp := batchResponse{Results: make([]itemJSON, 0, n)}
-			for it := range mergeGroups(ctx, groups, n, 1) {
+			for it := range mergeGroups(ctx, groups, n) {
 				p.Step(it.CacheHit, it.Err != nil)
 				resp.Results = append(resp.Results, toItem(it.Index, it))
 			}
@@ -242,10 +242,9 @@ func (s *Server) buildJobTask(req jobSubmitRequest) (kind string, total int, tas
 		if e != nil {
 			return "", 0, nil, e
 		}
-		shards := s.opts.SweepShards
 		return "sweep", n, func(ctx context.Context, p *jobs.Progress) ([]byte, error) {
 			resp := sweepResponse{Count: n, Results: make([]itemJSON, 0, n)}
-			for it := range mergeGroups(ctx, groups, n, shards) {
+			for it := range mergeGroups(ctx, groups, n) {
 				p.Step(it.CacheHit, it.Err != nil)
 				resp.Results = append(resp.Results, toItem(it.Index, it))
 			}

@@ -131,9 +131,9 @@ func TestJobSubmitPollResult(t *testing.T) {
 }
 
 // TestJobSweepEquivalence pins the headline determinism claim: a sweep
-// submitted as an async job — sharded across 4 workers server-side —
-// returns result bytes identical to the synchronous /v1/sweep response,
-// each from a fresh server so neither leg is served the other's cache.
+// submitted as an async job at 4 workers returns result bytes identical
+// to the synchronous /v1/sweep response at 1 worker, each from a fresh
+// server so neither leg is served the other's cache.
 func TestJobSweepEquivalence(t *testing.T) {
 	const body = `{"sweep": {
 		"base": {"n_measurements": 3},
@@ -142,13 +142,13 @@ func TestJobSweepEquivalence(t *testing.T) {
 		"unrolls": [10, 100]
 	}}`
 
-	syncTS := newTestServer(t, Options{Seed: 42})
+	syncTS := newTestServer(t, Options{Seed: 42, Parallelism: 1})
 	status, want := post(t, syncTS, "/v1/sweep", body)
 	if status != http.StatusOK {
 		t.Fatalf("sync sweep status %d: %s", status, want)
 	}
 
-	asyncTS := newTestServer(t, Options{Seed: 42, SweepShards: 4})
+	asyncTS := newTestServer(t, Options{Seed: 42, Parallelism: 4})
 	status, sub := post(t, asyncTS, "/v1/jobs", `{"sweep": `+body+`}`)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit status %d: %s", status, sub)
@@ -159,11 +159,11 @@ func TestJobSweepEquivalence(t *testing.T) {
 		t.Fatalf("result status %d: %s", status, got)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("sharded job result differs from the synchronous sweep:\njob:  %s\nsync: %s", got, want)
+		t.Errorf("job result differs from the synchronous sweep:\njob:  %s\nsync: %s", got, want)
 	}
 
-	// The duplicated asm entry rides the global-dedupe path (fanned out,
-	// not re-evaluated); the progress counters still cover every index.
+	// The duplicated asm entry is deduplicated (fanned out, not
+	// re-evaluated); the progress counters still cover every index.
 	final := pollJob(t, asyncTS, id, func(j jobRecord) bool { return j.State == "done" })
 	if final.Progress.Total != 12 || final.Progress.Completed != 12 || final.Progress.Failed != 0 {
 		t.Errorf("progress = %+v, want 12/12", final.Progress)

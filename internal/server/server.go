@@ -46,8 +46,6 @@ const (
 	DefaultMaxBatch = 65536
 	// DefaultMaxBodyBytes bounds the request body size.
 	DefaultMaxBodyBytes = 8 << 20
-	// DefaultSweepShards is the fan-out of an asynchronous sweep job.
-	DefaultSweepShards = 4
 )
 
 // Options configures a Server. Session-shaped fields (Seed, Parallelism,
@@ -58,7 +56,8 @@ type Options struct {
 	// to nanobench.DefaultBatchSeed.
 	Seed int64
 	// Parallelism bounds each session's concurrently simulated machines
-	// (0: runtime.NumCPU()).
+	// (0: runtime.NumCPU()). It is the one concurrency setting of an
+	// evaluation, synchronous or asynchronous.
 	Parallelism int
 	// WarmUp is the session-wide default warm-up count (see
 	// nanobench.WithWarmUp).
@@ -84,9 +83,10 @@ type Options struct {
 	// JobTTL retains finished job records for result retrieval
 	// (0: jobs.DefaultTTL).
 	JobTTL time.Duration
-	// SweepShards is how many shards an asynchronous sweep job fans out
-	// across — byte-identical to the synchronous path at any value
-	// (0: DefaultSweepShards).
+	// SweepShards is kept so existing callers still compile.
+	//
+	// Deprecated: ignored; asynchronous sweep jobs run on the session
+	// executor at Parallelism, like /v1/sweep.
 	SweepShards int
 
 	// now overrides the job subsystem's clock; tests inject a
@@ -130,9 +130,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if opts.SweepShards <= 0 {
-		opts.SweepShards = DefaultSweepShards
 	}
 	s := &Server{
 		opts:     opts,

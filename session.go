@@ -3,7 +3,6 @@ package nanobench
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"nanobench/internal/nano"
 	"nanobench/internal/sched"
@@ -181,113 +180,6 @@ func (s *Session) RunBatch(ctx context.Context, cfgs []Config) ([]*Result, error
 // the channel closes promptly.
 func (s *Session) Stream(ctx context.Context, cfgs []Config) <-chan BatchItem {
 	return s.exec.StreamContext(ctx, s.jobs(cfgs))
-}
-
-// StreamSharded evaluates the configurations like Stream, but splits the
-// batch across the given number of shards — independent single-worker
-// executions of contiguous ranges of the deduplicated evaluation list —
-// and merges the partial results back into config order. The output is
-// byte-identical to Stream at any shard count: the batch is expanded and
-// deduplicated globally BEFORE sharding, so every evaluation derives its
-// machine seed from the same batch index (the lowest index sharing its
-// content key) a single-process run would use, and the shared session
-// cache keys on exactly the same (content, seed) pairs. Today the shards
-// are an in-process worker pool; the merge path is the one a
-// multi-process fan-out would use, which is why the global-dedupe step
-// lives here and not in the shards.
-func (s *Session) StreamSharded(ctx context.Context, cfgs []Config, shards int) <-chan BatchItem {
-	jobs := s.jobs(cfgs)
-
-	// Global dedupe, exactly as a whole-batch submission would do it:
-	// first appearance of a content key is the representative, and its
-	// batch index seeds the evaluation for every duplicate.
-	type unit struct {
-		rep     int
-		indices []int
-	}
-	byKey := make(map[sched.Key]*unit, len(jobs))
-	var units []*unit
-	for i := range jobs {
-		k := sched.KeyOf(jobs[i])
-		u := byKey[k]
-		if u == nil {
-			u = &unit{rep: i}
-			byKey[k] = u
-			units = append(units, u)
-		}
-		u.indices = append(u.indices, i)
-	}
-
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > len(units) {
-		shards = len(units)
-	}
-
-	out := make(chan BatchItem, len(jobs))
-	if len(jobs) == 0 {
-		close(out)
-		return out
-	}
-
-	// Each shard is one single-worker executor over a contiguous range of
-	// units, sharing the session's cache and root seed. Completed units
-	// fan their item out to every duplicate index; a sequencer delivers
-	// the slots in config order, progressively.
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	ready := make([]bool, len(jobs))
-	items := make([]BatchItem, len(jobs))
-	deliver := func(u *unit, it BatchItem) {
-		mu.Lock()
-		for _, idx := range u.indices {
-			slot := it
-			slot.Index = idx
-			if idx != u.rep && it.Result != nil {
-				slot.Result = it.Result.Clone()
-			}
-			items[idx] = slot
-			ready[idx] = true
-		}
-		cond.Broadcast()
-		mu.Unlock()
-	}
-
-	base, rem := len(units)/shards, len(units)%shards
-	start := 0
-	for w := 0; w < shards; w++ {
-		size := base
-		if w < rem {
-			size++
-		}
-		part := units[start : start+size]
-		start += size
-		exec := sched.New(sched.Options{Workers: 1, RootSeed: s.seed, Cache: s.cache})
-		go func(part []*unit) {
-			ijobs := make([]sched.IndexedJob, len(part))
-			for i, u := range part {
-				ijobs[i] = sched.IndexedJob{Job: jobs[u.rep], Index: u.rep}
-			}
-			for it := range exec.StreamIndexed(ctx, ijobs) {
-				deliver(part[it.Index], it)
-			}
-		}(part)
-	}
-
-	go func() {
-		defer close(out)
-		for i := range jobs {
-			mu.Lock()
-			for !ready[i] {
-				cond.Wait()
-			}
-			it := items[i]
-			mu.Unlock()
-			out <- it
-		}
-	}()
-	return out
 }
 
 // RunSweep expands the sweep into its config family and evaluates it like

@@ -1,6 +1,7 @@
 package nanobench
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -117,4 +118,66 @@ func TestSweepJSONErrors(t *testing.T) {
 	if _, err := json.Marshal(&sw); err == nil {
 		t.Error("marshalling an errored sweep succeeded")
 	}
+}
+
+// FuzzSweepUnmarshalJSON throws hostile wire bodies at the strict Sweep
+// codec — the "sweep" object /v1/sweep and /v1/jobs accept from the
+// network. Invariants: no panic; Len agrees with the expansion it
+// predicts (checked only for families small enough to expand, since the
+// server's MaxBatch check relies on Len to refuse the rest unexpanded);
+// and an error-free sweep re-marshals to a fixed point with the same Len.
+func FuzzSweepUnmarshalJSON(f *testing.F) {
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"base":{"warm_up_count":1},"asm":["add rax, rbx"],"unrolls":[10,100]}`))
+	f.Add([]byte(`{"base":{"n_measurements":3},"cpus":["Skylake","Haswell"],"asm":["add rax, rbx","imul rax, rbx"],"unrolls":[10,100]}`))
+	f.Add([]byte(`{"modes":["user","kernel"],"codes":["kA=="],"loops":[0,5]}`))
+	f.Add([]byte(`{"base":{"asm":"nop"},"events":[["0E.01 UOPS_ISSUED.ANY"],[]]}`))
+	f.Add([]byte(`{"base":{"code_init":"kA=="}}`))
+	f.Add([]byte(`{"asm":["not an instruction"]}`))
+	f.Add([]byte(`{"modes":["hypervisor"],"asm":["nop"]}`))
+	f.Add([]byte(`{"unrols":[1]}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sw Sweep
+		if err := json.Unmarshal(data, &sw); err != nil {
+			return
+		}
+		n := sw.Len()
+		if n <= 4096 {
+			jobs, err := sw.Jobs("Skylake", Kernel)
+			if (err == nil) != (n > 0) {
+				t.Fatalf("Len = %d but Jobs err = %v\ninput: %q", n, err, data)
+			}
+			if err == nil && len(jobs) != n {
+				t.Fatalf("Jobs expanded %d entries, Len = %d\ninput: %q", len(jobs), n, data)
+			}
+			if !sw.Heterogeneous() {
+				cfgs, err := sw.Configs()
+				if (err == nil) != (n > 0) || len(cfgs) != len(jobs) {
+					t.Fatalf("Configs expanded %d configs (err %v), Len = %d\ninput: %q", len(cfgs), err, n, data)
+				}
+			}
+		}
+		if sw.Err() != nil {
+			return
+		}
+		wire, err := json.Marshal(&sw)
+		if err != nil {
+			t.Fatalf("accepted sweep failed to marshal: %v\ninput: %q", err, data)
+		}
+		var back Sweep
+		if err := json.Unmarshal(wire, &back); err != nil {
+			t.Fatalf("re-unmarshalling own output failed: %v\nwire: %s", err, wire)
+		}
+		if back.Len() != n {
+			t.Fatalf("Len %d after round trip, want %d\nwire: %s", back.Len(), n, wire)
+		}
+		wire2, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatalf("second marshal failed: %v", err)
+		}
+		if !bytes.Equal(wire, wire2) {
+			t.Fatalf("marshal is not a fixed point:\nfirst:  %s\nsecond: %s", wire, wire2)
+		}
+	})
 }

@@ -1,101 +1,10 @@
 package nanobench
 
 import (
-	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 )
-
-// collectItems drains a stream into an index-ordered slice, requiring
-// in-order delivery.
-func collectItems(t *testing.T, ch <-chan BatchItem, n int) []BatchItem {
-	t.Helper()
-	items := make([]BatchItem, 0, n)
-	for it := range ch {
-		if it.Index != len(items) {
-			t.Fatalf("item delivered out of order: index %d at position %d", it.Index, len(items))
-		}
-		items = append(items, it)
-	}
-	if len(items) != n {
-		t.Fatalf("stream delivered %d items, want %d", len(items), n)
-	}
-	return items
-}
-
-// TestStreamShardedMatchesStream pins the shard-merge determinism claim
-// at the session level: StreamSharded is byte-identical to Stream at any
-// shard count, including configs whose duplicates span shard boundaries
-// (the global-dedupe-before-sharding invariant — each duplicate must be
-// seeded by the lowest index sharing its content, exactly as a single
-// whole-batch run seeds it).
-func TestStreamShardedMatchesStream(t *testing.T) {
-	distinct := sweepConfigs(6)
-	// Interleave duplicates so every contiguous shard split separates at
-	// least one duplicate pair from its representative.
-	cfgs := []Config{
-		distinct[0], distinct[1], distinct[2], distinct[0],
-		distinct[3], distinct[1], distinct[4], distinct[5],
-		distinct[2], distinct[0],
-	}
-
-	baseline := openT(t, WithCPU("Skylake"), WithSeed(42))
-	want := collectItems(t, baseline.Stream(context.Background(), cfgs), len(cfgs))
-	wantJSON := make([]string, len(want))
-	for i, it := range want {
-		if it.Err != nil {
-			t.Fatalf("baseline item %d failed: %v", i, it.Err)
-		}
-		data, err := json.Marshal(it.Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantJSON[i] = string(data)
-	}
-
-	for _, shards := range []int{1, 2, 3, 4, 7, 100} {
-		// A fresh session per shard count: no cross-run cache assists.
-		sess := openT(t, WithCPU("Skylake"), WithSeed(42))
-		got := collectItems(t, sess.StreamSharded(context.Background(), cfgs, shards), len(cfgs))
-		for i, it := range got {
-			if it.Err != nil {
-				t.Fatalf("shards=%d: item %d failed: %v", shards, i, it.Err)
-			}
-			data, err := json.Marshal(it.Result)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(data) != wantJSON[i] {
-				t.Errorf("shards=%d: item %d differs from unsharded Stream:\nsharded:   %s\nunsharded: %s",
-					shards, i, data, wantJSON[i])
-			}
-		}
-	}
-}
-
-func TestStreamShardedCancel(t *testing.T) {
-	sess := openT(t, WithCPU("Skylake"), WithSeed(42), WithParallelism(1))
-	cfgs := sweepConfigs(8)
-	for i := range cfgs {
-		cfgs[i].LoopCount = 1500 + i // seconds of simulated work per config
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := sess.StreamSharded(ctx, cfgs, 3)
-	cancel()
-	// The channel must close promptly, every undelivered config carrying
-	// the context's error.
-	n := 0
-	for it := range ch {
-		n++
-		if it.Err == nil && it.Result == nil {
-			t.Errorf("item %d has neither result nor error", it.Index)
-		}
-	}
-	if n != len(cfgs) {
-		t.Errorf("canceled stream delivered %d items, want all %d", n, len(cfgs))
-	}
-}
 
 func TestSweepHeterogeneousJobs(t *testing.T) {
 	sw := NewSweep(Config{NMeasurements: 2}).
